@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use trace::Tracer;
-use util::{json_num, json_str, median, metric, metrics_json, tail, Metric};
+use util::{json_num, json_str, median, metric, metrics_json, reset_peak_rss, tail, Metric};
 
 pub struct Ctx {
     pub seed: u64,
@@ -350,6 +350,7 @@ fn traced(args: &Args, run: RunFn, views: ViewsFn) -> Result<(Outcome, Vec<Metri
     let ctx = &args.ctx;
     let untraced = run(ctx, &mut Tracer::new(false), true)?;
     let mut tr = Tracer::new(true);
+    reset_peak_rss();
     let mut traced = run(ctx, &mut tr, false)?;
     let same = traced.answer.to_bits() == untraced.answer.to_bits();
     let failure = format!(

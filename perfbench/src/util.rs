@@ -91,6 +91,13 @@ pub fn vm_hwm_mib(pid: &str) -> f64 {
         .map_or(0.0, |kib| kib / 1024.0)
 }
 
+/// Resets this process's peak RSS to its current RSS (Linux `clear_refs`
+/// code 5), so a second measured pass in one process reports its own peak.
+/// Best effort: where the kernel refuses, the peak stays lifetime-wide.
+pub fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 /// One named metric of the result line.
 pub struct Metric {
     pub name: String,

@@ -6,7 +6,8 @@
 For two seeds and every workload in BENCHMARK.json, at a tiny size:
   * an untraced run must pass its correctness gates and print every
     end-to-end metric with its declared unit;
-  * a traced run must print every per-layer metric with its declared unit;
+  * a traced run must print every per-layer metric with its declared unit,
+    the workload's own ones (per the layer map) nonzero and the others 0;
   * a run whose correctness references are fed a perturbed stream must
     trip a gate (report failures, `correct: false`, exit nonzero).
 Exits nonzero on the first problem found.
@@ -31,7 +32,8 @@ def run(workload, seed, trace, perturb=False):
     out = subprocess.run(args, cwd=ROOT, capture_output=True, text=True, timeout=600)
     lines = out.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else None
-    return out.returncode, result, out.stderr
+    records = [json.loads(l)["record"] for l in lines if l.startswith('{"record"')]
+    return out.returncode, result, records[0] if records else {}, out.stderr
 
 
 def check_metrics(result, declared, label):
@@ -49,6 +51,19 @@ def check_metrics(result, declared, label):
     return None
 
 
+def check_layer_map(result, record, label):
+    """The workload's own per-layer metrics are measured (nonzero, except a
+    tracing overhead, which can be exactly 0); the layers the layer map
+    assigns to other workloads read 0."""
+    own = set(record.get("measured_per_layer", "").split(","))
+    for name, metric in result["metrics"].items():
+        if name in own and metric["value"] == 0 and not name.startswith("trace.overhead."):
+            return f"{label}: {name} reads 0"
+        if name not in own and metric["value"] != 0:
+            return f"{label}: {name} is off the layer map but nonzero"
+    return None
+
+
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -56,19 +71,20 @@ def main():
     for seed in SEEDS:
         for workload in (w["name"] for w in bench["workloads"]):
             label = f"{workload} seed {seed}"
-            code, result, err = run(workload, seed, 0)
+            code, result, _, err = run(workload, seed, 0)
             if code != 0 or not result or not result["correct"] or result["failed"]:
                 problems.append(f"{label}: untraced run failed (exit {code}): {err[-500:]}")
             else:
                 problems.append(check_metrics(result, bench["end_to_end"], label + " untraced"))
 
-            code, result, err = run(workload, seed, 1)
+            code, result, record, err = run(workload, seed, 1)
             if code != 0 or not result or not result["correct"]:
                 problems.append(f"{label}: traced run failed (exit {code}): {err[-500:]}")
             else:
                 problems.append(check_metrics(result, bench["per_layer"], label + " traced"))
+                problems.append(check_layer_map(result, record, label + " traced"))
 
-            code, result, err = run(workload, seed, 0, perturb=True)
+            code, result, _, err = run(workload, seed, 0, perturb=True)
             tripped = code != 0 and result and not result["correct"] and result["failed"] > 0 \
                 and result["metrics"]["success_rate"]["value"] < 1
             if not tripped:

@@ -3,8 +3,8 @@
 //! `snapshot()` + estimate query every fixed number of batches.
 
 use crate::trace::Tracer;
-use crate::util::{mix64, ms, vm_hwm_mib, windowed_rate, RunClock};
-use crate::{Ctx, Outcome, Views, WINDOWS};
+use crate::util::{mix64, ms, vm_hwm_mib, RunClock};
+use crate::{Ctx, Outcome};
 use knw_cluster::WireF0Sketch;
 use knw_core::{CardinalityEstimator, F0Config, KnwF0Sketch};
 use knw_engine::{EngineConfig, ShardedF0Engine};
@@ -40,7 +40,7 @@ fn size(ctx: &Ctx) -> Size {
             query_every: 2,
         };
     }
-    // 640 batches (42M items, 2.5 passes) and 2 queries per second of run
+    // 640 batches (42M items, 10 passes) and 2 queries per second of run
     // time: 40 queries at 20 s put the tail at p75, which the host's
     // scheduling noise moves least (p90 of sub-millisecond snapshots
     // flips between runs).
@@ -61,51 +61,53 @@ pub fn engine() -> ShardedF0Engine<KnwF0Sketch> {
     ShardedF0Engine::new(EngineConfig::new(SHARDS), move |_| KnwF0Sketch::new(cfg))
 }
 
-/// One pass of the stream: every item of the universe once, in a seeded
-/// order (a bijection of `0..2^24` built from odd multipliers and
-/// xorshifts).  The stream repeats the pass, so after the first pass the
-/// distinct set is the whole universe whatever the seed, and the timed
-/// loop only copies items instead of generating them.
-pub fn pass(seed: u64) -> Vec<u32> {
-    const MASK: u64 = (1 << UNIVERSE_BITS) - 1;
+/// Distinct items of the stream: a fixed quarter of the universe, so the
+/// sketch runs in the regime it is built for (F0 well below the universe;
+/// at F0 = universe its levels clamp and the error grows past ε).
+pub const DISTINCT_BITS: u32 = 22;
+
+/// One pass of the stream: every distinct item once, in a seeded order (a
+/// bijection of `0..2^22` built from odd multipliers and xorshifts), placed
+/// in the universe by a fixed odd multiplier.  The stream repeats the pass,
+/// so after the first pass the distinct set is the same whatever the seed,
+/// and the timed loop only reads items instead of generating them.
+pub fn pass(seed: u64) -> Vec<u64> {
+    const MASK: u64 = (1 << DISTINCT_BITS) - 1;
+    const SCATTER: u64 = 0x9E37_79B1;
     let (a, b, c) = (mix64(seed) | 1, mix64(seed ^ 1), mix64(seed ^ 2) | 1);
-    (0..1u64 << UNIVERSE_BITS)
+    (0..1u64 << DISTINCT_BITS)
         .map(|i| {
             let mut x = (i.wrapping_mul(a).wrapping_add(b)) & MASK;
             x ^= x >> 13;
             x = x.wrapping_mul(c) & MASK;
             x ^= x >> 11;
-            x as u32
+            x.wrapping_mul(SCATTER) & ((1 << UNIVERSE_BITS) - 1)
         })
         .collect()
 }
 
 /// Batch `index` of the stream (the pass read cyclically).
-pub fn batch(pass: &[u32], index: usize, out: &mut Vec<u64>) {
+pub fn batch(pass: &[u64], index: usize) -> &[u64] {
     let start = (index * BATCH) % pass.len();
-    out.clear();
-    out.extend(pass[start..start + BATCH].iter().map(|&x| u64::from(x)));
+    &pass[start..start + BATCH]
 }
 
-pub fn views(ctx: &Ctx, len: usize) -> Views {
+/// The first `len` items of the stream (the input of the kernel replay).
+pub fn sample(ctx: &Ctx, len: usize) -> Vec<u64> {
     let pass = pass(ctx.seed);
     let mut items = Vec::with_capacity(len);
-    let mut buf = Vec::new();
     let mut index = 0;
     while items.len() < len {
-        batch(&pass, index, &mut buf);
-        items.extend_from_slice(&buf[..(len - items.len()).min(BATCH)]);
+        items.extend_from_slice(&batch(&pass, index)[..(len - items.len()).min(BATCH)]);
         index += 1;
     }
-    Views::from_items(items)
+    items
 }
 
 pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> {
     let size = size(ctx);
     let pass = pass(ctx.seed);
-    let mut first = Vec::with_capacity(BATCH);
-    batch(&pass, 0, &mut first);
-    let mut buf = Vec::with_capacity(BATCH);
+    let first = batch(&pass, 0);
 
     // Set-up: engine construction (2 shard threads) through the first
     // update accepted.
@@ -119,16 +121,12 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
     let mut clock = RunClock::new(SETUP_EVERY);
     let mut engine = clock.setup(bring_up)?;
 
-    clock.start();
+    clock.start(vec!["self".into()]);
     engine.insert_batch(&first[1..]);
     let mut query_ms = Vec::new();
-    let mut marks = Vec::with_capacity(size.queries);
     for index in 1..size.batches() {
-        tr.span("bench", "copy", index as u64, |_| {
-            batch(&pass, index, &mut buf)
-        });
         tr.span("knw-engine", "insert_batch", index as u64, |_| {
-            engine.insert_batch(&buf)
+            engine.insert_batch(batch(&pass, index))
         });
         if index % size.query_every == 0 {
             let qid = query_ms.len() as u64;
@@ -141,25 +139,22 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
                 Ok(())
             })?;
             query_ms.push(ms(t.elapsed()));
-            marks.push((clock.seconds(), ((index + 1) * BATCH - 1) as f64));
             clock.spare(qid as usize, bring_up, tear_down)?;
         }
     }
+    // The final answer is one more query.
+    let t = Instant::now();
     let merged = tr.span("bench", "final", 0, |tr| {
         tr.span("knw-engine", "finish", 0, |_| engine.finish())
     });
     let merged = merged.map_err(|e| e.to_string())?;
     let answer = tr.span("knw-core", "estimate", u64::MAX, |_| merged.estimate());
-    marks.last_mut().expect("at least one query").0 = clock.seconds();
+    query_ms.push(ms(t.elapsed()));
+    // Every update after the set-up one.
+    clock.end(size.batches() * BATCH - 1);
     let rss_peak_mb = vm_hwm_mib("self");
-    let updates = ((size.batches() - 1) * BATCH) as f64;
 
-    let mut out = Outcome::new(
-        clock.setups,
-        windowed_rate(&marks, WINDOWS),
-        query_ms,
-        answer,
-    );
+    let mut out = Outcome::new(&clock, query_ms, answer);
     out.state_bytes = merged.wire_bytes().len() as f64;
     out.rss_peak_mb = rss_peak_mb;
     out.attempted = (size.batches() + out.query_ms.len()) as u64;
@@ -167,7 +162,7 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
     if !spans.is_empty() {
         out.layer(
             "knw-engine.ingest_call_ns_per_upd",
-            spans.iter().sum::<f64>() / updates,
+            spans.iter().sum::<f64>() / ((size.batches() - 1) * BATCH) as f64,
             "ns",
         );
         out.layer_median_ms(
@@ -187,19 +182,18 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
 
 /// Reference: one in-process sketch fed the same stream (bit-identical
 /// estimate required) and the exact distinct count from a bitset.
-fn gate(ctx: &Ctx, size: &Size, pass: &[u32], answer: f64, out: &mut Outcome) {
+fn gate(ctx: &Ctx, size: &Size, pass: &[u64], answer: f64, out: &mut Outcome) {
     let mut reference = KnwF0Sketch::new(config());
     let mut seen = vec![0u64; (1usize << UNIVERSE_BITS) / 64];
-    let mut buf = Vec::with_capacity(BATCH);
     for index in 0..size.batches() {
         if ctx.perturb && index % 2 == 1 {
             continue;
         }
-        batch(pass, index, &mut buf);
-        reference.insert_batch(&buf);
+        let items = batch(pass, index);
+        reference.insert_batch(items);
         // The stream repeats its first pass, so that pass holds every item.
         if index * BATCH < pass.len() {
-            for &item in &buf {
+            for &item in items {
                 seen[(item >> 6) as usize] |= 1 << (item & 63);
             }
         }

@@ -4,28 +4,40 @@
 //! of `ingest_batch` calls.
 
 use crate::trace::Tracer;
-use crate::util::{median, mix64, ms, vm_hwm_mib, windowed_rate, Rng, RunClock};
-use crate::{Ctx, Outcome, Views, WINDOWS};
+use crate::util::{median, mix64, ms, vm_hwm_mib, Rng, RunClock};
+use crate::{Ctx, Outcome};
 use knw_core::F0Config;
 use knw_store::{F0SketchStore, StoreConfig, DEFAULT_PROMOTE_THRESHOLD};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-/// Key space (ranks 0..KEYS, permuted per seed into `u64` key ids).
-const KEYS: usize = 1 << 20;
+/// Key space (ranks 0..KEYS, mapped to `u64` key ids by a fixed bijection).
+/// Every key is touched early in a run, so the key table stops growing and
+/// the run measures a store in steady state.
+const KEYS: usize = 1 << 16;
 /// Zipf exponent of key popularity.
 const ZIPF: f64 = 1.0;
-/// Per-key item universe: small enough that the hot sample sees every item.
+/// Per-key item universe.
+const UNIVERSE: u64 = 1 << 16;
+/// Distinct items a hot key can receive: a fixed part of the universe,
+/// small enough that the hot sample sees every one, and well below the
+/// universe, where a sketch's levels would clamp and its error grow past ε.
 const ITEMS: u64 = 1 << 10;
+/// The most popular ranks, whose keys draw from `ITEMS` and promote.
+const HOT_KEYS: usize = 256;
+/// Distinct items a tail key can receive: below the promote threshold, so
+/// the tail stays sparse and the promoted set stays the hot keys.
+const TAIL_ITEMS: u64 = 16;
 pub const EPSILON: f64 = 0.05;
 const STORE_SEED: u64 = 7;
 pub const BATCH: usize = 8 << 10;
-/// Resident-tier budget: small enough that the tail is evicted and reloaded.
-pub const BUDGET: usize = 16 << 20;
+/// Resident-tier budget: room for the promoted hot keys and a small part
+/// of the sparse tail, which is evicted and reloaded.
+pub const BUDGET: usize = 2 << 20;
 const HOT: usize = 16;
-const COLD: usize = 256;
-/// A spare set-up after every this many queries (26 samples in 100 queries).
-const SETUP_EVERY: usize = 4;
+const COLD: usize = 1024;
+/// A spare set-up after every query (41 samples in 40 queries).
+const SETUP_EVERY: usize = 1;
 
 struct Size {
     queries: usize,
@@ -38,6 +50,22 @@ impl Size {
     fn batches(&self) -> usize {
         1 + self.queries * self.query_every
     }
+
+    /// Batches generated before timing starts; the stream repeats them.
+    fn pass_batches(&self) -> usize {
+        self.batches().min(PASS_BATCHES)
+    }
+}
+
+/// Batches in one pass of the stream (2M updates): enough for every tail
+/// key to be touched, small enough that the pregenerated pass does not
+/// dominate the peak RSS.
+const PASS_BATCHES: usize = 256;
+
+/// Batch `index` of the stream (the pass read cyclically).
+fn batch(pass: &[(u64, u64)], index: usize) -> &[(u64, u64)] {
+    let start = (index * BATCH) % pass.len();
+    &pass[start..start + BATCH]
 }
 
 fn size(ctx: &Ctx) -> Size {
@@ -48,11 +76,12 @@ fn size(ctx: &Ctx) -> Size {
             budget: 256 << 10,
         };
     }
-    // 30 batches (0.25M updates) and 5 queries per second of run time: at
-    // 20 s each hot key receives every one of its items many times over.
+    // 80 batches (0.66M updates) and 2 queries per second of run time: 40
+    // queries at 20 s put the tail at p75, which CPU time stolen by the
+    // host moves less than p90.
     Size {
-        queries: 5 * ctx.seconds as usize,
-        query_every: 6,
+        queries: 2 * ctx.seconds as usize,
+        query_every: 40,
         budget: BUDGET,
     }
 }
@@ -61,7 +90,7 @@ fn size(ctx: &Ctx) -> Size {
 /// otherwise.
 pub fn store(budget: usize) -> F0SketchStore<u64> {
     F0SketchStore::new(
-        StoreConfig::new(F0Config::new(EPSILON, ITEMS))
+        StoreConfig::new(F0Config::new(EPSILON, UNIVERSE))
             .with_budget_bytes(budget)
             .with_seed(STORE_SEED),
     )
@@ -73,7 +102,12 @@ fn key_of(rank: usize) -> u64 {
     mix64(rank as u64 ^ 0x006B_6579)
 }
 
-/// The whole keyed stream (generated before timing starts).
+/// Item `i < ITEMS` placed in the universe by a fixed odd multiplier.
+fn item_of(i: u64) -> u64 {
+    i.wrapping_mul(0x9E37_79B1) & (UNIVERSE - 1)
+}
+
+/// `len` updates of the keyed stream (generated before timing starts).
 fn stream(seed: u64, len: usize) -> Vec<(u64, u64)> {
     let mut cdf = Vec::with_capacity(KEYS);
     let mut total = 0.0;
@@ -86,7 +120,8 @@ fn stream(seed: u64, len: usize) -> Vec<(u64, u64)> {
         .map(|_| {
             let u = rng.unit() * total;
             let rank = cdf.partition_point(|&c| c < u).min(KEYS - 1);
-            (key_of(rank), rng.below(ITEMS))
+            let items = if rank < HOT_KEYS { ITEMS } else { TAIL_ITEMS };
+            (key_of(rank), item_of(rng.below(items)))
         })
         .collect()
 }
@@ -105,31 +140,27 @@ fn samples() -> (Vec<u64>, Vec<u64>) {
     (hot, cold.into_iter().map(key_of).collect())
 }
 
-pub fn views(ctx: &Ctx, len: usize) -> Views {
-    Views::from_keyed(stream(ctx.seed, len))
-}
-
 pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> {
     let size = size(ctx);
-    let inputs = stream(ctx.seed, size.batches() * BATCH);
+    let pass = stream(ctx.seed, size.pass_batches() * BATCH);
     let (hot, cold) = samples();
 
     // Set-up: store allocation through the first update accepted.
     let bring_up = || {
         let mut fresh = store(size.budget);
-        let (key, item) = inputs[0];
+        let (key, item) = pass[0];
         fresh.update(key, item);
         Ok(fresh)
     };
     let mut clock = RunClock::new(SETUP_EVERY);
     let mut store = clock.setup(bring_up)?;
 
-    clock.start();
-    store.ingest_batch(&inputs[1..BATCH]);
+    clock.start(vec!["self".into()]);
+    store.ingest_batch(&pass[1..BATCH]);
     let mut query_ms = Vec::new();
     let mut answers = Vec::new();
-    let mut marks = Vec::with_capacity(size.queries);
-    for (index, chunk) in inputs.chunks(BATCH).enumerate().skip(1) {
+    for index in 1..size.batches() {
+        let chunk = batch(&pass, index);
         tr.span("knw-store", "ingest_batch", index as u64, |_| {
             store.ingest_batch(chunk)
         });
@@ -149,30 +180,28 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
                 answers
             });
             query_ms.push(ms(t.elapsed()));
-            marks.push((clock.seconds(), ((index + 1) * BATCH - 1) as f64));
             clock.spare(query_ms.len() - 1, bring_up, |spare| {
                 drop(spare);
                 Ok(())
             })?;
         }
     }
+    // The last query's answers are the final answer; every update after
+    // the set-up one.
+    let updates = size.batches() * BATCH;
+    clock.end(updates - 1);
     let rss_peak_mb = vm_hwm_mib("self");
-    let updates = ((size.batches() - 1) * BATCH) as f64;
+    let spanned = ((size.batches() - 1) * BATCH) as f64;
     let stats = store.stats();
 
     let answer = answers.iter().map(|a| a.unwrap_or(0.0)).sum();
-    let mut out = Outcome::new(
-        clock.setups,
-        windowed_rate(&marks, WINDOWS),
-        query_ms,
-        answer,
-    );
+    let mut out = Outcome::new(&clock, query_ms, answer);
     out.state_bytes = store.to_wire_bytes().len() as f64;
     out.rss_peak_mb = rss_peak_mb;
     out.attempted = (size.batches() + out.query_ms.len()) as u64;
     let ingest = tr.total_ns("knw-store", "ingest_batch");
     if ingest > 0.0 {
-        out.layer("knw-store.ingest_ns_per_upd", ingest / updates, "ns");
+        out.layer("knw-store.ingest_ns_per_upd", ingest / spanned, "ns");
         out.layer_median_us(
             "knw-store.estimate_hot_us",
             &tr.durations("knw-store", "estimate_hot"),
@@ -186,7 +215,7 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
     out.layer("knw-store.evictions", stats.evictions as f64, "count");
     out.layer(
         "knw-store.reloads_per_ktouch",
-        stats.reloads as f64 * 1e3 / inputs.len() as f64,
+        stats.reloads as f64 * 1e3 / updates as f64,
         "per_ktouch",
     );
     out.layer(
@@ -207,7 +236,7 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
             ),
         );
         let keys: Vec<u64> = hot.iter().chain(&cold).copied().collect();
-        gate(ctx, &inputs, &keys, &answers, &mut out);
+        gate(ctx, &size, &pass, &keys, &answers, &mut out);
     }
     Ok(out)
 }
@@ -217,17 +246,18 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
 /// is the median relative error over the promoted ones.
 fn gate(
     ctx: &Ctx,
-    inputs: &[(u64, u64)],
+    size: &Size,
+    pass: &[(u64, u64)],
     keys: &[u64],
     answers: &[Option<f64>],
     out: &mut Outcome,
 ) {
     let mut sets: HashMap<u64, HashSet<u64>> = keys.iter().map(|&k| (k, HashSet::new())).collect();
-    for (index, chunk) in inputs.chunks(BATCH).enumerate() {
+    for index in 0..size.batches() {
         if ctx.perturb && index % 2 == 1 {
             continue;
         }
-        for (key, item) in chunk {
+        for (key, item) in batch(pass, index) {
             if let Some(set) = sets.get_mut(key) {
                 set.insert(*item);
             }

@@ -5,10 +5,8 @@
 //! public frame codec.
 
 use crate::trace::Tracer;
-use crate::util::{
-    mean, median, metric, mix64, ms, vm_hwm_mib, windowed_rate, Metric, Rng, RunClock,
-};
-use crate::{Ctx, Outcome, Views, WINDOWS};
+use crate::util::{mean, mix64, ms, vm_hwm_mib, Rng, RunClock};
+use crate::{Ctx, Outcome};
 use knw_cluster::{
     encode_frame, l0_shard_from_bytes, BatchPayload, Frame, FrameDecoder, HelloConfig, SketchSpec,
 };
@@ -143,10 +141,11 @@ impl Churn {
     }
 }
 
-pub fn views(ctx: &Ctx, len: usize) -> Views {
+/// The first `len` updates of the stream (the input of the stage replays).
+pub fn sample(ctx: &Ctx, len: usize) -> Vec<(u64, i64)> {
     let mut updates = Vec::new();
     Churn::new(ctx.seed).fill(&mut updates, len);
-    Views::from_updates(updates)
+    updates
 }
 
 /// Two listening workers and the serving aggregator, killed and reaped on
@@ -154,7 +153,6 @@ pub fn views(ctx: &Ctx, len: usize) -> Views {
 pub struct Fleet {
     children: Vec<(Child, BufReader<ChildStdout>)>,
     pub serve: String,
-    pub metrics: String,
 }
 
 fn read_banner(out: &mut BufReader<ChildStdout>, prefix: &str) -> Result<String, String> {
@@ -180,7 +178,6 @@ impl Fleet {
         let mut fleet = Fleet {
             children: Vec::new(),
             serve: String::new(),
-            metrics: String::new(),
         };
         let start =
             |name: &str, args: &[&str]| -> Result<(Child, BufReader<ChildStdout>), String> {
@@ -213,35 +210,23 @@ impl Fleet {
             "--transport", "tcp", "--connect", &connect[0], "--connect", &connect[1],
             "--mode", "l0", "--estimator", &s.estimator, "--epsilon", &epsilon,
             "--universe", &universe, "--seed", &seed, "--precoalesce", "--recover",
-            "--serve", "127.0.0.1:0", "--sessions", "1", "--metrics", "127.0.0.1:0",
+            "--serve", "127.0.0.1:0", "--sessions", "1",
         ];
         fleet.children.push(start("knw-aggregate", &args)?);
         let out = &mut fleet.children.last_mut().expect("just pushed").1;
-        fleet.metrics = read_banner(out, "metrics on ")?;
         fleet.serve = read_banner(out, "serving on ")?;
         Ok(fleet)
     }
 
-    /// Summed peak RSS of the fleet processes, MiB.
-    pub fn rss_mib(&self) -> f64 {
+    pub fn pids(&self) -> impl Iterator<Item = String> + '_ {
         self.children
             .iter()
-            .map(|(child, _)| vm_hwm_mib(&child.id().to_string()))
-            .sum()
+            .map(|(child, _)| child.id().to_string())
     }
 
-    /// Updates the serve loop has routed into the fleet so far.
-    fn updates_ingested(&self) -> Result<u64, String> {
-        let mut conn = TcpStream::connect(&self.metrics).map_err(|e| e.to_string())?;
-        conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\n\r\n")
-            .map_err(|e| e.to_string())?;
-        let mut body = String::new();
-        conn.read_to_string(&mut body).map_err(|e| e.to_string())?;
-        Ok(body
-            .lines()
-            .find_map(|l| l.strip_prefix("knw_serve_updates_ingested_total "))
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .unwrap_or(0.0) as u64)
+    /// Summed peak RSS of the fleet processes, MiB.
+    pub fn rss_mib(&self) -> f64 {
+        self.pids().map(|pid| vm_hwm_mib(&pid)).sum()
     }
 
     /// Waits for every process to exit on its own and returns the
@@ -328,6 +313,22 @@ impl Session {
             .map_err(|e| e.to_string())
     }
 
+    /// Decodes the frame last read.
+    fn decode(&self) -> Result<Frame, String> {
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&self.read_buf);
+        match decoder.next_frame().map_err(|e| e.to_string())? {
+            Some(frame) => Ok(frame),
+            None => Err("truncated reply frame".into()),
+        }
+    }
+
+    /// Reads and decodes one reply frame.
+    fn reply(&mut self) -> Result<Frame, String> {
+        self.read_frame_bytes()?;
+        self.decode()
+    }
+
     /// Sends `request` (`Snapshot` or `Finish`) and turns the `Shard` reply
     /// into an estimate: `(estimate, reply bytes, shard bytes)`.
     pub fn query(
@@ -340,14 +341,9 @@ impl Session {
             self.send(request)?;
             self.read_frame_bytes()
         })?;
-        let frame = tr.span("knw-cluster.frame", "decode_reply", qid, |_| {
-            let mut decoder = FrameDecoder::new();
-            decoder.push(&self.read_buf);
-            decoder.next_frame()
-        });
-        let shard = match frame.map_err(|e| e.to_string())? {
-            Some(Frame::Shard(bytes)) => bytes,
-            Some(Frame::Err(message)) => return Err(format!("server error: {message}")),
+        let shard = match tr.span("knw-cluster.frame", "decode_reply", qid, |_| self.decode())? {
+            Frame::Shard(bytes) => bytes,
+            Frame::Err(message) => return Err(format!("server error: {message}")),
             other => return Err(format!("unexpected reply {other:?}")),
         };
         let sketch = tr.span("knw-cluster", "shard_deserialize", qid, |_| {
@@ -367,20 +363,18 @@ fn encode_batch(batch: &mut Vec<(u64, i64)>) -> Result<Vec<u8>, String> {
     Ok(bytes)
 }
 
-/// Brings a fleet up, opens the session and sends the first batch; set-up
-/// ends when the serve loop reports that batch ingested.
-fn bring_up(ctx: &Ctx, first: &[u8]) -> Result<(Fleet, Session), String> {
+/// Brings a fleet up, opens the session, sends the first batch and a
+/// `Snapshot`; set-up ends when the reply (a merged `Shard` that holds the
+/// first batch) has been read.
+fn bring_up(ctx: &Ctx, first: &[u8], snapshot: &[u8]) -> Result<(Fleet, Session), String> {
     let fleet = Fleet::spawn(ctx)?;
     let mut session = Session::open(&fleet)?;
     session.send(first)?;
-    let deadline = Instant::now() + IO_DEADLINE;
-    while fleet.updates_ingested()? == 0 {
-        if Instant::now() > deadline {
-            return Err("first batch never ingested".into());
-        }
-        std::thread::sleep(Duration::from_micros(200));
+    session.send(snapshot)?;
+    match session.reply()? {
+        Frame::Shard(_) => Ok((fleet, session)),
+        other => Err(format!("set-up snapshot answered with {other:?}")),
     }
-    Ok((fleet, session))
 }
 
 pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> {
@@ -390,15 +384,18 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
     churn.fill(&mut batch, FRAME);
     let first = encode_batch(&mut batch)?;
 
-    let mut clock = RunClock::new(SETUP_EVERY);
-    let (fleet, mut session) = clock.setup(|| bring_up(ctx, &first))?;
     let snapshot = encode_frame(&Frame::Snapshot).map_err(|e| e.to_string())?;
     let finish = encode_frame(&Frame::Finish).map_err(|e| e.to_string())?;
+    let mut clock = RunClock::new(SETUP_EVERY);
+    let (fleet, mut session) = clock.setup(|| bring_up(ctx, &first, &snapshot))?;
 
-    clock.start();
+    // The CPU time of the client, the aggregator and the workers.
+    let mut pids = vec!["self".to_string()];
+    pids.extend(fleet.pids());
+    clock.start(pids);
     let mut query_ms = Vec::new();
     let mut reply_bytes = Vec::new();
-    let mut marks = Vec::with_capacity(size.queries);
+    let mut frame_bytes = 0;
     for index in 1..size.frames() {
         let id = index as u64;
         tr.span("bench", "generate", id, |_| churn.fill(&mut batch, FRAME));
@@ -408,6 +405,7 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
         tr.span("knw-cluster.session", "batch_write", id, |_| {
             session.send(&bytes)
         })?;
+        frame_bytes += bytes.len();
         if index % size.query_every == 0 {
             let qid = query_ms.len() as u64;
             let t = Instant::now();
@@ -416,10 +414,9 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
             })?;
             query_ms.push(ms(t.elapsed()));
             reply_bytes.push(reply as f64);
-            marks.push((clock.seconds(), (index * FRAME) as f64));
             clock.spare(
                 qid as usize,
-                || bring_up(ctx, &first),
+                || bring_up(ctx, &first, &snapshot),
                 |spare| {
                     drop(spare);
                     Ok(())
@@ -432,23 +429,21 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
     let bytes = encode_batch(&mut batch)?;
     session.send(&bytes)?;
     let rss_peak_mb = vm_hwm_mib("self") + fleet.rss_mib();
+    // The final answer is one more query.
+    let t = Instant::now();
     let (answer, _, shard_len) = tr.span("bench", "final", u64::MAX, |tr| {
         session.query(&finish, u64::MAX, tr)
     })?;
-    let last = marks.last_mut().expect("at least one query");
-    *last = (clock.seconds(), last.1 + settled as f64);
+    query_ms.push(ms(t.elapsed()));
+    clock.end((size.frames() - 1) * FRAME + settled);
     drop(session);
     let printed = fleet.wait()?;
 
-    let updates = ((size.frames() - 1) * FRAME + settled) as f64;
+    // The frames after the set-up one, whose updates the spans cover.
+    let spanned = ((size.frames() - 1) * FRAME) as f64;
     // Every frame (the settling one too) and every answer (the final too).
-    let attempted = (size.frames() + 1 + query_ms.len() + 1) as u64;
-    let mut out = Outcome::new(
-        clock.setups,
-        windowed_rate(&marks, WINDOWS),
-        query_ms,
-        answer,
-    );
+    let attempted = (size.frames() + 1 + query_ms.len()) as u64;
+    let mut out = Outcome::new(&clock, query_ms, answer);
     out.state_bytes = shard_len as f64;
     out.rss_peak_mb = rss_peak_mb;
     out.attempted = attempted;
@@ -483,8 +478,13 @@ pub fn run(ctx: &Ctx, tr: &mut Tracer, verify: bool) -> Result<Outcome, String> 
         );
         out.layer(
             "knw-cluster.frame_encode_ns_per_upd",
-            tr.total_ns("knw-cluster.frame", "encode") / updates,
+            tr.total_ns("knw-cluster.frame", "encode") / spanned,
             "ns",
+        );
+        out.layer(
+            "knw-cluster.frame_bytes_per_upd",
+            frame_bytes as f64 / spanned,
+            "bytes",
         );
         out.layer_median_ms(
             "knw-cluster.shard_deserialize_ms",
@@ -531,47 +531,4 @@ fn gate(ctx: &Ctx, size: &Size, answer: f64, out: &mut Outcome) -> Result<(), St
     );
     out.record("exact_l0", exact.to_string());
     Ok(())
-}
-
-/// The session layer on another workload's inputs: a fresh fleet, the
-/// updates in frames, one `Snapshot` half way and a `Finish` at the end.
-pub fn session_replay(
-    ctx: &Ctx,
-    updates: &[(u64, i64)],
-    tr: &mut Tracer,
-) -> Result<Vec<Metric>, String> {
-    let frames = updates
-        .chunks(FRAME)
-        .map(|chunk| encode_batch(&mut chunk.to_vec()))
-        .collect::<Result<Vec<_>, _>>()?;
-    let (fleet, mut session) = bring_up(ctx, &frames[0])?;
-    let snapshot = encode_frame(&Frame::Snapshot).map_err(|e| e.to_string())?;
-    let finish = encode_frame(&Frame::Finish).map_err(|e| e.to_string())?;
-    let mut replies = Vec::new();
-    for (index, bytes) in frames.iter().enumerate().skip(1) {
-        tr.span("knw-cluster.session", "batch_write", index as u64, |_| {
-            session.send(bytes)
-        })?;
-        if index == frames.len() / 2 {
-            replies.push(session.query(&snapshot, 0, tr)?.1 as f64);
-        }
-    }
-    replies.push(session.query(&finish, 1, tr)?.1 as f64);
-    drop(session);
-    fleet.wait()?;
-    let writes = tr.durations("knw-cluster.session", "batch_write");
-    let rtts = tr.durations("knw-cluster.session", "snapshot_rtt");
-    Ok(vec![
-        metric(
-            "knw-cluster.session.batch_write_ms",
-            mean(&writes) / 1e6,
-            "ms",
-        ),
-        metric(
-            "knw-cluster.session.snapshot_rtt_ms",
-            median(&rtts) / 1e6,
-            "ms",
-        ),
-        metric("knw-cluster.session.reply_bytes", mean(&replies), "bytes"),
-    ])
 }

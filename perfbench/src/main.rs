@@ -11,8 +11,9 @@
 //! `--seconds` sizes the work of a run (a fixed number of updates and
 //! queries per second of run time, so every percentile has a stated sample
 //! count).  `--trace 0` prints the end-to-end metrics; `--trace 1` runs the
-//! workload untraced, then traced, replays its inputs through every stage,
-//! writes the spans under `--out-dir` and prints the per-layer metrics.
+//! workload untraced, then traced, replays its inputs through the stages
+//! hidden inside one call, writes the spans under `--out-dir` and prints
+//! the per-layer metrics.
 //! `--tiny` shrinks every workload for the smoke test; `--perturb` feeds
 //! the correctness references a perturbed stream, so the gates must trip.
 
@@ -27,7 +28,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use trace::Tracer;
-use util::{json_num, json_str, median, metric, metrics_json, reset_peak_rss, tail, Metric};
+use util::{
+    json_num, json_str, median, metric, metrics_json, reset_peak_rss, tail, Metric, RunClock,
+};
 
 pub struct Ctx {
     pub seed: u64,
@@ -38,52 +41,11 @@ pub struct Ctx {
     pub out_dir: PathBuf,
 }
 
-/// A sample of one workload's inputs in the three stream shapes the
-/// stages take.  Each workload supplies its native shape; the others are
-/// derived from it by a fixed rule.
-pub struct Views {
-    pub items: Vec<u64>,
-    pub updates: Vec<(u64, i64)>,
-    pub keyed: Vec<(u64, u64)>,
-}
-
-impl Views {
-    /// Keyed view of plain items: the high bits are the key.
-    fn split(item: u64) -> (u64, u64) {
-        (item >> 12, item & 0xFFF)
-    }
-
-    pub fn from_items(items: Vec<u64>) -> Self {
-        Views {
-            updates: items.iter().map(|&x| (x, 1)).collect(),
-            keyed: items.iter().map(|&x| Self::split(x)).collect(),
-            items,
-        }
-    }
-
-    pub fn from_updates(updates: Vec<(u64, i64)>) -> Self {
-        Views {
-            items: updates.iter().map(|&(x, _)| x).collect(),
-            keyed: updates.iter().map(|&(x, _)| Self::split(x)).collect(),
-            updates,
-        }
-    }
-
-    pub fn from_keyed(keyed: Vec<(u64, u64)>) -> Self {
-        let items: Vec<u64> = keyed.iter().map(|&(k, i)| k ^ i).collect();
-        Views {
-            updates: items.iter().map(|&x| (x, 1)).collect(),
-            items,
-            keyed,
-        }
-    }
-}
-
 /// What one measured pass of a workload produced.
 pub struct Outcome {
     setup_s: Vec<f64>,
-    /// Ingest rate of each window of the ingest phase.
-    ingest_mupd_s: Vec<f64>,
+    /// `(updates, wall seconds, CPU seconds)` of the ingest phase.
+    ingest: (f64, f64, f64),
     query_ms: Vec<f64>,
     /// The final answer (compared between the untraced and traced pass).
     answer: f64,
@@ -98,15 +60,10 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    pub fn new(
-        setup_s: Vec<f64>,
-        ingest_mupd_s: Vec<f64>,
-        query_ms: Vec<f64>,
-        answer: f64,
-    ) -> Self {
+    pub fn new(clock: &RunClock, query_ms: Vec<f64>, answer: f64) -> Self {
         Outcome {
-            setup_s,
-            ingest_mupd_s,
+            setup_s: clock.setups.clone(),
+            ingest: clock.ingest,
             query_ms,
             answer,
             rel_err: f64::NAN,
@@ -151,7 +108,11 @@ impl Outcome {
     fn end_to_end(&self) -> Vec<Metric> {
         let (tail_ms, _, _) = tail(&self.query_ms);
         vec![
-            metric("ingest_mupd_s", median(&self.ingest_mupd_s), "Mupd/s"),
+            metric(
+                "ingest_mupd_per_cpu_s",
+                self.ingest.0 / self.ingest.2 / 1e6,
+                "Mupd/cpu_s",
+            ),
             metric("query_p50_ms", median(&self.query_ms), "ms"),
             metric("query_tail_ms", tail_ms, "ms"),
             metric("rel_err", self.rel_err, "ratio"),
@@ -167,61 +128,68 @@ impl Outcome {
     }
 }
 
-/// Every per-layer metric a traced run reports, with its unit.
-const PER_LAYER: &[(&str, &str)] = &[
-    ("knw-engine.ingest_call_ns_per_upd", "ns"),
-    ("knw-engine.snapshot_ms", "ms"),
-    ("knw-engine.batcher_ns_per_upd", "ns"),
-    ("knw-core.f0_insert_ns_per_upd", "ns"),
-    ("knw-core.f0_merge_us", "us"),
-    ("knw-core.f0_estimate_us", "us"),
-    ("knw-core.coalesce_ns_per_upd", "ns"),
-    ("knw-core.coalesce_out_ratio", "ratio"),
-    ("knw-core.l0_update_ns_per_upd", "ns"),
-    ("knw-core.l0_merge_ms", "ms"),
-    ("knw-cluster.frame_encode_ns_per_upd", "ns"),
-    ("knw-cluster.frame_decode_ns_per_upd", "ns"),
-    ("knw-cluster.frame_bytes_per_upd", "bytes"),
-    ("knw-cluster.shard_bytes", "bytes"),
-    ("knw-cluster.shard_serialize_ms", "ms"),
-    ("knw-cluster.shard_deserialize_ms", "ms"),
-    ("knw-cluster.session.batch_write_ms", "ms"),
-    ("knw-cluster.session.snapshot_rtt_ms", "ms"),
-    ("knw-cluster.session.reply_bytes", "bytes"),
-    ("knw-store.ingest_ns_per_upd", "ns"),
-    ("knw-store.estimate_hot_us", "us"),
-    ("knw-store.estimate_cold_us", "us"),
-    ("knw-store.promotions", "count"),
-    ("knw-store.evictions", "count"),
-    ("knw-store.reloads_per_ktouch", "per_ktouch"),
-    ("knw-store.resident_bytes", "bytes"),
-    ("knw-store.cold_bytes", "bytes"),
-    ("trace.self_ms.bench", "ms"),
-    ("trace.self_ms.knw-engine", "ms"),
-    ("trace.self_ms.knw-core", "ms"),
-    ("trace.self_ms.knw-cluster", "ms"),
-    ("trace.self_ms.knw-store", "ms"),
-    ("trace.overhead.ingest_mupd_s", "ratio"),
-    ("trace.overhead.query_p50_ms", "ratio"),
-    ("trace.overhead.query_tail_ms", "ratio"),
-    ("trace.overhead.setup_s", "ratio"),
-    ("trace.overhead.rss_peak_mb", "ratio"),
+/// Every per-layer metric a traced run reports, with its unit and the
+/// workloads the layer map assigns it to (empty: every workload).  On the
+/// other workloads the layer does no work and the metric reads 0.
+const PER_LAYER: &[(&str, &str, &[&str])] = &[
+    ("knw-engine.ingest_call_ns_per_upd", "ns", F0),
+    ("knw-engine.snapshot_ms", "ms", F0),
+    ("knw-engine.batcher_ns_per_upd", "ns", L0),
+    ("knw-core.f0_insert_ns_per_upd", "ns", F0),
+    ("knw-core.f0_merge_us", "us", F0),
+    ("knw-core.f0_estimate_us", "us", F0),
+    ("knw-core.coalesce_ns_per_upd", "ns", L0),
+    ("knw-core.coalesce_out_ratio", "ratio", L0),
+    ("knw-core.l0_update_ns_per_upd", "ns", L0),
+    ("knw-core.l0_merge_ms", "ms", L0),
+    ("knw-cluster.frame_encode_ns_per_upd", "ns", L0),
+    ("knw-cluster.frame_decode_ns_per_upd", "ns", L0),
+    ("knw-cluster.frame_bytes_per_upd", "bytes", L0),
+    ("knw-cluster.shard_bytes", "bytes", L0),
+    ("knw-cluster.shard_serialize_ms", "ms", L0),
+    ("knw-cluster.shard_deserialize_ms", "ms", L0),
+    ("knw-cluster.session.batch_write_ms", "ms", L0),
+    ("knw-cluster.session.snapshot_rtt_ms", "ms", L0),
+    ("knw-cluster.session.reply_bytes", "bytes", L0),
+    ("knw-store.ingest_ns_per_upd", "ns", KEYED),
+    ("knw-store.estimate_hot_us", "us", KEYED),
+    ("knw-store.estimate_cold_us", "us", KEYED),
+    ("knw-store.promotions", "count", KEYED),
+    ("knw-store.evictions", "count", KEYED),
+    ("knw-store.reloads_per_ktouch", "per_ktouch", KEYED),
+    ("knw-store.resident_bytes", "bytes", KEYED),
+    ("knw-store.cold_bytes", "bytes", KEYED),
+    ("trace.self_ms.bench", "ms", ALL),
+    ("trace.self_ms.knw-engine", "ms", F0_L0),
+    ("trace.self_ms.knw-core", "ms", F0_L0),
+    ("trace.self_ms.knw-cluster", "ms", L0),
+    ("trace.self_ms.knw-store", "ms", KEYED),
+    ("trace.overhead.ingest_mupd_per_cpu_s", "ratio", ALL),
+    ("trace.overhead.query_p50_ms", "ratio", ALL),
+    ("trace.overhead.query_tail_ms", "ratio", ALL),
+    ("trace.overhead.setup_s", "ratio", ALL),
+    ("trace.overhead.rss_peak_mb", "ratio", ALL),
 ];
 
-/// Ingest throughput is the median rate over this many equal windows.
-pub const WINDOWS: usize = 10;
+const F0: &[&str] = &["f0_uniform"];
+const L0: &[&str] = &["l0_churn_serve"];
+const KEYED: &[&str] = &["keyed_zipf"];
+const F0_L0: &[&str] = &["f0_uniform", "l0_churn_serve"];
+const ALL: &[&str] = &[];
 
-/// Inputs replayed per stage in a traced run.
-const REPLAY_LEN: usize = 1 << 20;
+fn assigned(workloads: &[&str], workload: &str) -> bool {
+    workloads.is_empty() || workloads.contains(&workload)
+}
 
 type RunFn = fn(&Ctx, &mut Tracer, bool) -> Result<Outcome, String>;
-type ViewsFn = fn(&Ctx, usize) -> Views;
+/// Replays of the workload's stages hidden inside one call.
+type ReplayFn = fn(&Ctx, &mut Tracer) -> Result<Vec<Metric>, String>;
 
-fn workload(name: &str) -> Option<(RunFn, ViewsFn)> {
+fn workload(name: &str) -> Option<(RunFn, ReplayFn)> {
     Some(match name {
-        "f0_uniform" => (f0::run, f0::views),
-        "l0_churn_serve" => (l0::run, l0::views),
-        "keyed_zipf" => (keyed::run, keyed::views),
+        "f0_uniform" => (f0::run, replay::f0_uniform),
+        "l0_churn_serve" => (l0::run, replay::l0_churn_serve),
+        "keyed_zipf" => (keyed::run, replay::keyed_zipf),
         _ => return None,
     })
 }
@@ -287,6 +255,13 @@ fn print_record(args: &Args, outcome: &Outcome) {
             "query_tail_samples_beyond".to_string(),
             (if samples > 10 { 10 } else { 0 }).to_string(),
         ),
+        ("ingest_updates".to_string(), json_num(outcome.ingest.0)),
+        ("ingest_wall_s".to_string(), json_num(outcome.ingest.1)),
+        ("ingest_cpu_s".to_string(), json_num(outcome.ingest.2)),
+        (
+            "ingest_wall_mupd_s".to_string(),
+            json_num(outcome.ingest.0 / outcome.ingest.1 / 1e6),
+        ),
         (
             "setup_repetitions".to_string(),
             outcome.setup_s.len().to_string(),
@@ -294,10 +269,6 @@ fn print_record(args: &Args, outcome: &Outcome) {
         (
             "setup_s_samples".to_string(),
             format!("{:?}", outcome.setup_s),
-        ),
-        (
-            "ingest_windows_mupd_s".to_string(),
-            format!("{:?}", outcome.ingest_mupd_s),
         ),
         (
             "query_ms_deciles".to_string(),
@@ -346,7 +317,7 @@ fn result_line(correct: bool, attempted: u64, failed: u64, metrics: &[Metric]) -
     )
 }
 
-fn traced(args: &Args, run: RunFn, views: ViewsFn) -> Result<(Outcome, Vec<Metric>), String> {
+fn traced(args: &Args, run: RunFn, replay: ReplayFn) -> Result<(Outcome, Vec<Metric>), String> {
     let ctx = &args.ctx;
     let untraced = run(ctx, &mut Tracer::new(false), true)?;
     let mut tr = Tracer::new(true);
@@ -360,14 +331,7 @@ fn traced(args: &Args, run: RunFn, views: ViewsFn) -> Result<(Outcome, Vec<Metri
     let mut outcome = untraced;
     outcome.check(same, failure);
 
-    let sample = views(ctx, if ctx.tiny { 1 << 16 } else { REPLAY_LEN });
-    let on_path: Vec<String> = traced.layer.iter().map(|m| m.name.clone()).collect();
-    let replayed = replay::all(
-        ctx,
-        &sample,
-        |name| on_path.iter().any(|n| n == name),
-        &mut tr,
-    )?;
+    let replayed = tr.span("bench", "replay", 0, |tr| replay(ctx, tr))?;
     let mut values: BTreeMap<String, f64> =
         replayed.into_iter().map(|m| (m.name, m.value)).collect();
     values.extend(traced.layer.drain(..).map(|m| (m.name, m.value)));
@@ -378,7 +342,7 @@ fn traced(args: &Args, run: RunFn, views: ViewsFn) -> Result<(Outcome, Vec<Metri
     // pass is slower (lower throughput, or higher latency and memory).
     let (plain, with_spans) = (outcome.end_to_end(), traced.end_to_end());
     for (a, b) in plain.iter().zip(&with_spans) {
-        let cost = if a.name == "ingest_mupd_s" {
+        let cost = if a.name == "ingest_mupd_per_cpu_s" {
             a.value / b.value
         } else {
             b.value / a.value
@@ -393,13 +357,18 @@ fn traced(args: &Args, run: RunFn, views: ViewsFn) -> Result<(Outcome, Vec<Metri
         .map_err(|e| format!("write {}: {e}", path.display()))?;
     outcome.record("trace_file", path.display().to_string());
 
+    let own: Vec<&str> = PER_LAYER
+        .iter()
+        .filter(|&&(_, _, on)| assigned(on, &args.workload))
+        .map(|&(name, _, _)| name)
+        .collect();
+    outcome.record("measured_per_layer", own.join(","));
     let metrics = PER_LAYER
         .iter()
-        .map(|&(name, unit)| {
-            values
-                .get(name)
-                .map(|&v| metric(name, v, unit))
-                .ok_or(format!("per-layer metric {name} was not measured"))
+        .map(|&(name, unit, on)| match values.get(name) {
+            _ if !assigned(on, &args.workload) => Ok(metric(name, 0.0, unit)),
+            Some(&v) => Ok(metric(name, v, unit)),
+            None => Err(format!("per-layer metric {name} was not measured")),
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok((outcome, metrics))
@@ -413,7 +382,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let Some((run, views)) = workload(&args.workload) else {
+    let Some((run, replay)) = workload(&args.workload) else {
         eprintln!("knw-perfbench: unknown workload {:?}", args.workload);
         return ExitCode::from(2);
     };
@@ -422,7 +391,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let result = if args.trace {
-        traced(&args, run, views)
+        traced(&args, run, replay)
     } else {
         run(&args.ctx, &mut Tracer::new(false), true).map(|o| {
             let metrics = o.end_to_end();

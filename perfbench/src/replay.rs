@@ -1,18 +1,28 @@
-//! Single-threaded replays of one workload's own inputs through each
-//! stage's public function, for stages hidden inside one call (or off the
-//! workload's path).  Every replay runs inside a span of its layer.
+//! Single-threaded replays of a workload's own inputs through the public
+//! function of each stage that runs hidden inside one call (a shard
+//! thread, the serve loop or a worker), so the traced run can time it.
+//! Every replay runs inside a span of its layer.
 
 use crate::trace::Tracer;
 use crate::util::{median, metric, timed, Metric};
-use crate::{f0, keyed, l0, Ctx, Views};
-use knw_cluster::{
-    encode_frame, l0_shard_from_bytes, BatchPayload, Frame, FrameDecoder, FrameView,
-};
-use knw_core::{coalesce_updates, CardinalityEstimator, KnwF0Sketch, MergeableEstimator};
+use crate::{f0, l0, Ctx};
+use knw_cluster::{encode_frame, BatchPayload, Frame, FrameDecoder, FrameView};
+use knw_core::{coalesce_updates, KnwF0Sketch, MergeableEstimator};
 use knw_engine::{RoutingPolicy, ShardBatcher, DEFAULT_BATCH_SIZE};
 
+/// Inputs replayed per workload.
+const LEN: usize = 1 << 20;
+const TINY_LEN: usize = 1 << 16;
 const REPS: usize = 101;
 const BIG_REPS: usize = 3;
+
+fn len(ctx: &Ctx) -> usize {
+    if ctx.tiny {
+        TINY_LEN
+    } else {
+        LEN
+    }
+}
 
 fn ns_per(total: std::time::Duration, n: usize) -> f64 {
     total.as_nanos() as f64 / n.max(1) as f64
@@ -26,9 +36,12 @@ fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
     median(&samples)
 }
 
-/// The F0 kernel: `insert_batch`, shard merge and estimate.  The inputs
-/// go in twice and the second pass is timed, so lazy set-up is excluded.
-fn f0_core(items: &[u64]) -> Vec<Metric> {
+/// `f0_uniform`'s shard threads: `KnwF0Sketch::insert_batch` on each
+/// shard's half of the stream, then the merge `snapshot()` performs.  The
+/// inputs go in twice and the second pass is timed, so lazy set-up is
+/// excluded.
+pub fn f0_uniform(ctx: &Ctx, tr: &mut Tracer) -> Result<Vec<Metric>, String> {
+    let items = f0::sample(ctx, len(ctx));
     let (mut left, mut right) = (
         KnwF0Sketch::new(f0::config()),
         KnwF0Sketch::new(f0::config()),
@@ -43,25 +56,50 @@ fn f0_core(items: &[u64]) -> Vec<Metric> {
         }
     };
     feed();
-    let (_, took) = timed(feed);
-    let merge = median_ns(REPS, || left.merge_from(&right).expect("same config"));
-    let estimate = median_ns(REPS, || {
-        std::hint::black_box(left.estimate());
+    let (_, took) = tr.span("knw-core", "f0_insert_batch", 0, |_| timed(feed));
+    let merge = tr.span("knw-core", "f0_merge", 0, |_| {
+        median_ns(REPS, || left.merge_from(&right).expect("same config"))
     });
-    vec![
+    Ok(vec![
         metric(
             "knw-core.f0_insert_ns_per_upd",
             ns_per(took, items.len()),
             "ns",
         ),
         metric("knw-core.f0_merge_us", merge / 1e3, "us"),
-        metric("knw-core.f0_estimate_us", estimate / 1e3, "us"),
-    ]
+    ])
 }
 
-/// The L0 path of one frame stream: coalesce, 2-shard batcher, one
-/// shard's `update_batch`, shard merge, and the shard wire codec.
-fn l0_path(updates: &[(u64, i64)], tr: &mut Tracer) -> Vec<Metric> {
+/// `l0_churn_serve`'s hidden stages on its own `Batch` frames: the serve
+/// loop's `FrameDecoder`, coalesce and 2-shard batcher, one worker's
+/// `update_batch`, the shard merge and the shard serializer.
+pub fn l0_churn_serve(ctx: &Ctx, tr: &mut Tracer) -> Result<Vec<Metric>, String> {
+    let updates = l0::sample(ctx, len(ctx));
+    let wire = updates
+        .chunks(l0::FRAME)
+        .map(|c| encode_frame(&Frame::Batch(BatchPayload::Updates(c.to_vec()))))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let mut decoded = 0;
+    let (result, decode) = tr.span("knw-cluster.frame", "decode", 0, |_| {
+        timed(|| -> Result<(), String> {
+            let mut decoder = FrameDecoder::new();
+            for bytes in &wire {
+                decoder.push(bytes);
+                while let Some(view) = decoder.next_view().map_err(|e| e.to_string())? {
+                    if let FrameView::Updates(batch) = view {
+                        decoded += batch.len();
+                    }
+                }
+            }
+            Ok(())
+        })
+    });
+    result?;
+    if decoded != updates.len() {
+        return Err(format!("{decoded} of {} updates decoded", updates.len()));
+    }
+
     let mut coalesced = Vec::new();
     let (_, coalesce) = tr.span("knw-core", "coalesce", 0, |_| {
         timed(|| {
@@ -82,11 +120,10 @@ fn l0_path(updates: &[(u64, i64)], tr: &mut Tracer) -> Vec<Metric> {
             batcher.flush(&mut dispatch);
         })
     });
+
     let spec = l0::spec();
-    let mut sketches = [
-        knw_cluster::build_l0(&spec).expect("knw-l0 is in the zoo"),
-        knw_cluster::build_l0(&spec).expect("knw-l0 is in the zoo"),
-    ];
+    let build = || knw_cluster::build_l0(&spec).map_err(|e| e.to_string());
+    let mut sketches = [build()?, build()?];
     let shard_input: usize = shards[0].iter().map(Vec::len).sum();
     // The first pass faults the sketch's pages in; the second is timed.
     for batch in &shards[0] {
@@ -108,16 +145,17 @@ fn l0_path(updates: &[(u64, i64)], tr: &mut Tracer) -> Vec<Metric> {
             first.merge_dyn(second.as_ref()).expect("same spec")
         })
     });
-    let mut bytes = Vec::new();
     let serialize = tr.span("knw-cluster", "shard_serialize", 0, |_| {
-        median_ns(BIG_REPS, || bytes = first.wire_bytes())
-    });
-    let deserialize = tr.span("knw-cluster", "shard_deserialize", 0, |_| {
         median_ns(BIG_REPS, || {
-            std::hint::black_box(l0_shard_from_bytes(&spec, &bytes).expect("own bytes"));
+            std::hint::black_box(first.wire_bytes());
         })
     });
-    vec![
+    Ok(vec![
+        metric(
+            "knw-cluster.frame_decode_ns_per_upd",
+            ns_per(decode, updates.len()),
+            "ns",
+        ),
         metric(
             "knw-core.coalesce_ns_per_upd",
             ns_per(coalesce, updates.len()),
@@ -139,171 +177,11 @@ fn l0_path(updates: &[(u64, i64)], tr: &mut Tracer) -> Vec<Metric> {
             "ns",
         ),
         metric("knw-core.l0_merge_ms", merge / 1e6, "ms"),
-        metric("knw-cluster.shard_bytes", bytes.len() as f64, "bytes"),
         metric("knw-cluster.shard_serialize_ms", serialize / 1e6, "ms"),
-        metric("knw-cluster.shard_deserialize_ms", deserialize / 1e6, "ms"),
-    ]
-}
-
-/// The `Batch` frame codec: `encode_frame` and `FrameDecoder`.
-fn frames(updates: &[(u64, i64)], tr: &mut Tracer) -> Vec<Metric> {
-    let owned: Vec<Frame> = updates
-        .chunks(l0::FRAME)
-        .map(|c| Frame::Batch(BatchPayload::Updates(c.to_vec())))
-        .collect();
-    let (wire, encode) = tr.span("knw-cluster.frame", "encode", 0, |_| {
-        timed(|| {
-            owned
-                .iter()
-                .map(|f| encode_frame(f).expect("frame fits"))
-                .collect::<Vec<_>>()
-        })
-    });
-    let mut decoded = 0;
-    let (_, decode) = tr.span("knw-cluster.frame", "decode", 0, |_| {
-        timed(|| {
-            let mut decoder = FrameDecoder::new();
-            for bytes in &wire {
-                decoder.push(bytes);
-                while let Some(view) = decoder.next_view().expect("own frames") {
-                    if let FrameView::Updates(batch) = view {
-                        decoded += batch.len();
-                    }
-                }
-            }
-        })
-    });
-    assert_eq!(decoded, updates.len(), "every update decodes back");
-    let bytes: usize = wire.iter().map(Vec::len).sum();
-    vec![
-        metric(
-            "knw-cluster.frame_encode_ns_per_upd",
-            ns_per(encode, updates.len()),
-            "ns",
-        ),
-        metric(
-            "knw-cluster.frame_decode_ns_per_upd",
-            ns_per(decode, updates.len()),
-            "ns",
-        ),
-        metric(
-            "knw-cluster.frame_bytes_per_upd",
-            bytes as f64 / updates.len().max(1) as f64,
-            "bytes",
-        ),
-    ]
-}
-
-/// The engine front: 2 shard threads, 64 Ki-item `insert_batch` calls and a
-/// `snapshot()` every fourth call.
-fn engine(items: &[u64], tr: &mut Tracer) -> Result<Vec<Metric>, String> {
-    let mut engine = f0::engine();
-    let mut calls = std::time::Duration::ZERO;
-    let mut snapshots = Vec::new();
-    let chunks = items.len().div_ceil(1 << 16);
-    for (index, chunk) in items.chunks(1 << 16).enumerate() {
-        calls += tr.span("knw-engine", "insert_batch", index as u64, |_| {
-            timed(|| engine.insert_batch(chunk)).1
-        });
-        if index % 4 == 3 || index + 1 == chunks {
-            let (snap, took) = tr.span("knw-engine", "snapshot", index as u64, |_| {
-                timed(|| engine.snapshot())
-            });
-            snap.map_err(|e| e.to_string())?;
-            snapshots.push(took.as_nanos() as f64);
-        }
-    }
-    engine.finish().map_err(|e| e.to_string())?;
-    Ok(vec![
-        metric(
-            "knw-engine.ingest_call_ns_per_upd",
-            ns_per(calls, items.len()),
-            "ns",
-        ),
-        metric("knw-engine.snapshot_ms", median(&snapshots) / 1e6, "ms"),
     ])
 }
 
-/// The keyed store under the `keyed_zipf` configuration.
-fn store(keyed: &[(u64, u64)], tr: &mut Tracer) -> Vec<Metric> {
-    let mut store = keyed::store(keyed::BUDGET);
-    let ingest = tr.span("knw-store", "ingest_batch", 0, |_| {
-        timed(|| {
-            for chunk in keyed.chunks(keyed::BATCH) {
-                store.ingest_batch(chunk);
-            }
-        })
-        .1
-    });
-    // Off the keyed workload's path there is no hot or cold sample: time
-    // the first and the last 64 keys of the replayed inputs.
-    let mut keys: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
-    keys.dedup();
-    let pick = 64.min(keys.len());
-    let (hot, cold) = (&keys[..pick], &keys[keys.len() - pick..]);
-    let estimate = |tr: &mut Tracer, name: &'static str, keys: &[u64]| {
-        let samples: Vec<f64> = keys
-            .iter()
-            .map(|k| {
-                tr.span("knw-store", name, 0, |_| {
-                    timed(|| store.estimate(k)).1.as_nanos() as f64
-                })
-            })
-            .collect();
-        median(&samples) / 1e3
-    };
-    let hot_us = estimate(tr, "estimate_hot", hot);
-    let cold_us = estimate(tr, "estimate_cold", cold);
-    let stats = store.stats();
-    vec![
-        metric(
-            "knw-store.ingest_ns_per_upd",
-            ns_per(ingest, keyed.len()),
-            "ns",
-        ),
-        metric("knw-store.estimate_hot_us", hot_us, "us"),
-        metric("knw-store.estimate_cold_us", cold_us, "us"),
-        metric("knw-store.promotions", stats.promotions as f64, "count"),
-        metric("knw-store.evictions", stats.evictions as f64, "count"),
-        metric(
-            "knw-store.reloads_per_ktouch",
-            stats.reloads as f64 * 1e3 / keyed.len().max(1) as f64,
-            "per_ktouch",
-        ),
-        metric(
-            "knw-store.resident_bytes",
-            store.resident_bytes() as f64,
-            "bytes",
-        ),
-        metric("knw-store.cold_bytes", store.cold_bytes() as f64, "bytes"),
-    ]
-}
-
-/// Replays `views` through every stage; `on_path(name)` tells which
-/// metrics the workload's own traced pass already measured, so the replays
-/// behind them are skipped.
-pub fn all(
-    ctx: &Ctx,
-    views: &Views,
-    on_path: impl Fn(&str) -> bool,
-    tr: &mut Tracer,
-) -> Result<Vec<Metric>, String> {
-    tr.span("bench", "replay", 0, |tr| {
-        let mut out = Vec::new();
-        out.extend(tr.span("knw-core", "f0_replay", 0, |_| f0_core(&views.items)));
-        out.extend(l0_path(&views.updates, tr));
-        out.extend(frames(&views.updates, tr));
-        if !on_path("knw-engine.snapshot_ms") {
-            out.extend(engine(&views.items, tr)?);
-        }
-        if !on_path("knw-store.ingest_ns_per_upd") {
-            out.extend(store(&views.keyed, tr));
-        }
-        if !on_path("knw-cluster.session.snapshot_rtt_ms") {
-            out.extend(tr.span("bench", "session_replay", 0, |tr| {
-                l0::session_replay(ctx, &views.updates, tr)
-            })?);
-        }
-        Ok(out)
-    })
+/// `keyed_zipf` runs in the calling thread: its spans cover every stage.
+pub fn keyed_zipf(_: &Ctx, _: &mut Tracer) -> Result<Vec<Metric>, String> {
+    Ok(Vec::new())
 }

@@ -98,6 +98,21 @@ pub fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
+/// CPU time (user + system, all threads, stolen time excluded) a process
+/// has used, in seconds.
+pub fn cpu_s(pid: &str) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap_or_default();
+    // utime and stime are the 14th and 15th fields, in clock ticks of
+    // 1/100 s; the command name before them is parenthesised.
+    let rest = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    rest.split_whitespace()
+        .skip(11)
+        .take(2)
+        .filter_map(|f| f.parse::<f64>().ok())
+        .sum::<f64>()
+        / 100.0
+}
+
 /// One named metric of the result line.
 pub struct Metric {
     pub name: String,
@@ -154,37 +169,24 @@ pub fn metrics_json(metrics: &[Metric]) -> String {
     format!("{{{}}}", body.join(", "))
 }
 
-/// Ingest throughput (Mupd/s) over each of `windows` consecutive spans of
-/// the ingest phase (the metric is their median).  `marks` holds `(seconds since the start,
-/// updates so far)` at the end of every query period, the last one taken
-/// when the final answer is in hand; windows are whole query periods, so
-/// each carries the same share of queries.
-pub fn windowed_rate(marks: &[(f64, f64)], windows: usize) -> Vec<f64> {
-    let per = (marks.len() / windows.max(1)).max(1);
-    let mut ends: Vec<usize> = (per - 1..marks.len()).step_by(per).collect();
-    if let Some(last) = ends.last_mut() {
-        *last = marks.len() - 1;
-    }
-    let mut previous = (0.0, 0.0);
-    ends.into_iter()
-        .map(|end| {
-            let (t, n) = marks[end];
-            let rate = (n - previous.1) / (t - previous.0) / 1e6;
-            previous = (t, n);
-            rate
-        })
-        .collect()
-}
-
 /// The run's clocks: set-up samples and the ingest clock.  Set-up is timed
 /// at the first bring-up and again on a spare bring-up after every
 /// `every`-th query, so its median samples the host across the run rather
 /// than in one burst at the start; spares are kept off the ingest clock.
+///
+/// The ingest clock keeps wall time and the CPU time of the processes that
+/// do the work.  A shared host can steal a quarter of a run's CPU time,
+/// which moves wall-clock rates by up to half; the kernel leaves stolen
+/// time out of a process's CPU time.
 pub struct RunClock {
     pub setups: Vec<f64>,
     every: usize,
     start: Instant,
     paused: Duration,
+    pids: Vec<String>,
+    cpu_start: f64,
+    /// `(updates, wall seconds, CPU seconds)` of the ingest phase.
+    pub ingest: (f64, f64, f64),
 }
 
 impl RunClock {
@@ -194,6 +196,9 @@ impl RunClock {
             every: every.max(1),
             start: Instant::now(),
             paused: Duration::ZERO,
+            pids: Vec::new(),
+            cpu_start: 0.0,
+            ingest: (0.0, f64::NAN, f64::NAN),
         }
     }
 
@@ -204,19 +209,31 @@ impl RunClock {
         out
     }
 
-    /// Starts the ingest clock.
-    pub fn start(&mut self) {
+    fn cpu(&self) -> f64 {
+        self.pids.iter().map(|pid| cpu_s(pid)).sum()
+    }
+
+    /// Starts the ingest clock over the CPU time of processes `pids`.
+    pub fn start(&mut self, pids: Vec<String>) {
+        self.pids = pids;
+        self.cpu_start = self.cpu();
         self.start = Instant::now();
         self.paused = Duration::ZERO;
     }
 
-    /// Seconds on the ingest clock.
+    /// Wall seconds on the ingest clock.
     pub fn seconds(&self) -> f64 {
         (self.start.elapsed() - self.paused).as_secs_f64()
     }
 
+    /// Ends the ingest phase: the final answer is in hand and `updates`
+    /// were accepted since the clock started.
+    pub fn end(&mut self, updates: usize) {
+        self.ingest = (updates as f64, self.seconds(), self.cpu() - self.cpu_start);
+    }
+
     /// After query `query`: when a sample is due, brings a spare up (timed)
-    /// and tears it down, all off the ingest clock.
+    /// and tears it down, all off the wall clock.
     pub fn spare<T>(
         &mut self,
         query: usize,

@@ -42,7 +42,10 @@
 //!   **already-running** workers (`knw-worker --listen <addr>`, the
 //!   [`serve`] loop) over TCP sockets with bounded connect/read/write
 //!   timeouts: the multi-host topology.  `knw-aggregate --transport tcp
-//!   --connect host:port …` is the CLI front.
+//!   --connect host:port …` is the CLI front.  The same transport fills
+//!   slots from a [`WorkerRegistry`] pool — recovery re-resolution, grown
+//!   shards and [`ClusterAggregator::from_pool`] fleets with no static
+//!   address list at all.
 //!
 //! # The frame protocol
 //!
@@ -320,8 +323,8 @@ pub use spec::{
     l0_shard_from_bytes, WireF0Sketch, WireL0Sketch,
 };
 pub use transport::{
-    probe_worker, spawn_listening_worker, ListeningWorkerFleet, PipeTransport, PoolTransport,
-    TcpClusterConfig, TcpTransport, Transport, WorkerConnection, BANNER_DEADLINE,
-    DEFAULT_CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT,
+    probe_worker, spawn_listening_worker, ListeningWorkerFleet, PipeTransport, TcpClusterConfig,
+    TcpTransport, Transport, WorkerConnection, BANNER_DEADLINE, DEFAULT_CONNECT_TIMEOUT,
+    DEFAULT_IO_TIMEOUT,
 };
 pub use worker::{run_worker, serve, serve_connection, ServeOptions, DEFAULT_MAX_ACCEPT_RETRIES};

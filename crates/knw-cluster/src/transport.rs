@@ -168,9 +168,8 @@ pub trait Transport: Send {
 /// wedged one times out.  The probed session is separate from (and closed
 /// before) any connection the caller actually adopts.
 ///
-/// Shared by the TCP transport's recovery re-resolution, the pool
-/// transport's placement draws, and the registry's continuous background
-/// probing.
+/// Shared by the TCP transport's pool draws (placement and recovery
+/// re-resolution) and the registry's continuous background probing.
 #[must_use]
 pub fn probe_worker(addr: &str, connect_timeout: Duration, io_timeout: Duration) -> bool {
     let Ok(stream) = connect_first(addr, connect_timeout) else {
@@ -212,8 +211,7 @@ fn connect_first(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 }
 
 /// Opens a configured framed TCP link to `addr`, attributing failure to
-/// worker `index` — the connection-building body shared by [`TcpTransport`]
-/// and [`PoolTransport`].
+/// worker `index`.
 fn open_tcp_link(
     index: usize,
     addr: &str,
@@ -516,9 +514,9 @@ pub struct TcpClusterConfig {
     /// default — keeps the pre-recovery behaviour: the first
     /// `WorkerDied`/`Timeout` fails the run).
     pub recovery: Option<RecoveryPolicy>,
-    /// Worker-discovery registry the recovery path re-resolves lost
-    /// workers through (spare `knw-worker --register` hosts); `None` limits
-    /// recovery to reconnecting the static addresses.
+    /// Worker-discovery registry (spare `knw-worker --register` hosts) that
+    /// recovery re-resolves lost workers through and that fills slots with
+    /// no static address; `None` limits the fleet to the static addresses.
     pub registry: Option<Arc<WorkerRegistry>>,
 }
 
@@ -567,9 +565,9 @@ impl TcpClusterConfig {
         self
     }
 
-    /// Attaches a worker-discovery registry: the recovery path pops
-    /// registered replacement addresses when a worker's static address
-    /// stays unreachable.
+    /// Attaches a worker-discovery registry: the transport pops registered
+    /// addresses when a worker's static address stays unreachable and for
+    /// slots beyond the static list.
     #[must_use]
     pub fn with_registry(mut self, registry: Arc<WorkerRegistry>) -> Self {
         self.registry = Some(registry);
@@ -577,64 +575,74 @@ impl TcpClusterConfig {
     }
 }
 
-/// The multi-host transport: connect to already-running workers
+/// The socket transport: connect to already-running workers
 /// (`knw-worker --listen <addr>`) over TCP.
 ///
-/// Recovery re-resolution: [`reopen`](Transport::reopen) first re-dials the
-/// worker's current address; if that stays unreachable and a
-/// [`WorkerRegistry`] is attached, it pops registered replacement
-/// addresses until one connects, and remembers the substitution so later
-/// faults on the same worker dial the replacement directly.
+/// One slot→address map serves every way a worker slot gets an address.
+/// It is seeded from the static address list (slot `i` dials `addrs[i]`),
+/// which may be empty.  A slot with no address — a pool-placed fleet
+/// ([`from_pool`](crate::ClusterAggregator::from_pool)), or an index a grow
+/// added beyond the static list — is filled by drawing from the attached
+/// [`WorkerRegistry`]: pool addresses are popped until one passes the
+/// connect-and-greet liveness probe ([`probe_worker`]) and connects, and
+/// the assignment is remembered.
+///
+/// [`reopen`](Transport::reopen) re-dials the slot's current address first
+/// (a supervisor may have restarted the worker in place) and falls back to
+/// a fresh draw, remembering the substitution so later faults dial the
+/// replacement directly.  [`retire`](Transport::retire) — a scale-down
+/// removed the slot — hands the still-serving worker's address back to
+/// the registry pool for re-adoption; without a registry the slot keeps
+/// its address, so a later grow re-dials it.
 #[derive(Debug)]
 pub struct TcpTransport {
-    addrs: Vec<String>,
     connect_timeout: Duration,
     io_timeout: Option<Duration>,
     registry: Option<Arc<WorkerRegistry>>,
-    /// Re-resolved replacement addresses, by worker index.
-    overrides: Mutex<HashMap<usize, String>>,
+    /// The address each worker slot currently dials.
+    slots: Mutex<HashMap<usize, String>>,
 }
 
 impl TcpTransport {
-    /// Creates a TCP transport for the given worker addresses and timeouts.
+    /// Creates a TCP transport for the configured worker addresses,
+    /// timeouts and registry.
     #[must_use]
     pub fn new(config: &TcpClusterConfig) -> Self {
         Self {
-            addrs: config.addrs.clone(),
             connect_timeout: config.connect_timeout,
             io_timeout: config.io_timeout,
             registry: config.registry.clone(),
-            overrides: Mutex::new(HashMap::new()),
+            slots: Mutex::new(config.addrs.iter().cloned().enumerate().collect()),
         }
     }
 
-    /// The statically configured worker addresses, in shard order.
-    #[must_use]
-    pub fn addrs(&self) -> &[String] {
-        &self.addrs
-    }
-
-    /// The address worker `index` currently resolves to: its registered
-    /// replacement if recovery re-resolved it (or a pool draw placed it
-    /// there), the static address otherwise.  `None` for a grown index
-    /// beyond the static list that has no pool assignment yet.
+    /// The address worker `index` currently dials: its static address, or
+    /// the pool address a draw placed there.  `None` for a slot no address
+    /// has been assigned to yet.
     #[must_use]
     pub fn current_addr(&self, index: usize) -> Option<String> {
-        self.overrides
+        self.slots
             .lock()
-            .expect("transport overrides lock")
+            .expect("transport slots lock")
             .get(&index)
             .cloned()
-            .or_else(|| self.addrs.get(index).cloned())
     }
 
-    /// Draws a probed-healthy address from the attached registry pool,
-    /// assigns it to `index`, and connects — the placement path shared by
-    /// [`open`](Transport::open) on grown indices and
-    /// [`reopen`](Transport::reopen)'s re-resolution fallback.  Returns
-    /// `None` when no attached registry can supply a live address.
-    fn open_from_pool(&self, index: usize) -> Option<Box<dyn WorkerConnection>> {
-        let registry = self.registry.as_ref()?;
+    fn dial(&self, index: usize, addr: &str) -> Result<Box<dyn WorkerConnection>, ClusterError> {
+        open_tcp_link(index, addr, self.connect_timeout, self.io_timeout)
+    }
+
+    /// Draws probed-healthy pool addresses until one connects, and assigns
+    /// it to slot `index`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::PoolExhausted`] (`needed: 1`) when no registry is
+    /// attached or its pool runs dry first.
+    fn draw(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
+        let Some(registry) = &self.registry else {
+            return Err(ClusterError::PoolExhausted { needed: 1, live: 0 });
+        };
         while let Some(addr) = registry.take_address() {
             if !probe_worker(
                 &addr,
@@ -643,193 +651,59 @@ impl TcpTransport {
             ) {
                 continue;
             }
-            match open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout) {
-                Ok(conn) => {
-                    self.overrides
-                        .lock()
-                        .expect("transport overrides lock")
-                        .insert(index, addr);
-                    return Some(conn);
-                }
-                Err(_) => continue,
+            if let Ok(conn) = self.dial(index, &addr) {
+                self.slots
+                    .lock()
+                    .expect("transport slots lock")
+                    .insert(index, addr);
+                return Ok(conn);
             }
         }
-        None
+        Err(ClusterError::PoolExhausted {
+            needed: 1,
+            live: registry.live_available(),
+        })
     }
 }
 
 impl Transport for TcpTransport {
     fn open(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
         match self.current_addr(index) {
-            Some(addr) => open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout),
-            // A grown index beyond the static list: the pool is the only
-            // possible placement.
-            None => self
-                .open_from_pool(index)
-                .ok_or(ClusterError::PoolExhausted { needed: 1, live: 0 }),
-        }
-    }
-
-    fn reopen(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        // First choice: the address the worker last answered on (a
-        // supervisor may have restarted it in place).
-        let static_error = match self.open(index) {
-            Ok(conn) => return Ok(conn),
-            Err(e) => e,
-        };
-        // Fallback: pop registered replacements until one *answers a
-        // liveness probe* and connects.  Unreachable or unresponsive pops
-        // are discarded — a stale announcement, or a spare whose listen
-        // backlog still accepts for a dead serve loop, must not burn a
-        // bounded recovery attempt on a doomed replay.
-        self.open_from_pool(index).ok_or(static_error)
-    }
-
-    fn retire(&self, index: usize) {
-        // Expire the override — the index no longer exists, so a later
-        // grow must not inherit a stale substitution — and hand the
-        // still-serving worker's address back to the pool for re-adoption.
-        let expired = self
-            .overrides
-            .lock()
-            .expect("transport overrides lock")
-            .remove(&index);
-        if let Some(registry) = &self.registry {
-            if let Some(addr) = expired.or_else(|| self.addrs.get(index).cloned()) {
-                registry.return_address(addr);
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------------- pool
-
-/// The placement transport: **no static address list at all** — every
-/// worker slot is filled by drawing a probed-healthy address from a
-/// [`WorkerRegistry`] pool of `knw-worker --listen --register` spares.
-///
-/// Opening worker `index` pops pool addresses until one passes the
-/// connect-and-greet liveness probe ([`probe_worker`]) and connects, then
-/// remembers the assignment; [`reopen`](Transport::reopen) re-dials the
-/// assigned address first (a supervisor may have restarted the process in
-/// place) and falls back to a fresh draw.  [`retire`](Transport::retire)
-/// — a scale-down removed the slot — forgets the assignment and returns
-/// the address to the pool, so a later grow can re-adopt the
-/// still-serving worker.
-#[derive(Debug)]
-pub struct PoolTransport {
-    registry: Arc<WorkerRegistry>,
-    connect_timeout: Duration,
-    io_timeout: Option<Duration>,
-    /// Pool addresses by the worker index they were placed on.
-    assigned: Mutex<HashMap<usize, String>>,
-}
-
-impl PoolTransport {
-    /// Creates a pool transport drawing from `registry` with the default
-    /// timeouts.
-    #[must_use]
-    pub fn new(registry: Arc<WorkerRegistry>) -> Self {
-        Self {
-            registry,
-            connect_timeout: DEFAULT_CONNECT_TIMEOUT,
-            io_timeout: Some(DEFAULT_IO_TIMEOUT),
-            assigned: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Sets the connect timeout.
-    #[must_use]
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-link read/write timeout (`None` blocks forever).
-    #[must_use]
-    pub fn with_io_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.io_timeout = timeout;
-        self
-    }
-
-    /// The registry this transport draws placements from.
-    #[must_use]
-    pub fn registry(&self) -> &Arc<WorkerRegistry> {
-        &self.registry
-    }
-
-    /// The pool address currently placed on worker `index`, if any.
-    #[must_use]
-    pub fn assigned_addr(&self, index: usize) -> Option<String> {
-        self.assigned
-            .lock()
-            .expect("pool assignments lock")
-            .get(&index)
-            .cloned()
-    }
-
-    /// Draws probed-healthy pool addresses until one connects, recording
-    /// the assignment.
-    fn draw(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        while let Some(addr) = self.registry.take_address() {
-            if !probe_worker(
-                &addr,
-                self.connect_timeout,
-                self.io_timeout.unwrap_or(DEFAULT_IO_TIMEOUT),
-            ) {
-                continue;
-            }
-            match open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout) {
-                Ok(conn) => {
-                    self.assigned
-                        .lock()
-                        .expect("pool assignments lock")
-                        .insert(index, addr);
-                    return Ok(conn);
-                }
-                Err(_) => continue,
-            }
-        }
-        Err(ClusterError::PoolExhausted {
-            needed: 1,
-            live: self.registry.live_available(),
-        })
-    }
-}
-
-impl Transport for PoolTransport {
-    fn open(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        match self.assigned_addr(index) {
-            Some(addr) => open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout),
+            Some(addr) => self.dial(index, &addr),
             None => self.draw(index),
         }
     }
 
     fn reopen(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        if let Some(addr) = self.assigned_addr(index) {
-            match open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout) {
-                Ok(conn) => return Ok(conn),
-                Err(_) => {
-                    // The placed worker is gone for good; forget it before
-                    // drawing a replacement.
-                    self.assigned
-                        .lock()
-                        .expect("pool assignments lock")
-                        .remove(&index);
-                }
-            }
-        }
-        self.draw(index)
+        let Some(addr) = self.current_addr(index) else {
+            return self.draw(index);
+        };
+        // First choice: the address the worker last answered on.
+        let dial_error = match self.dial(index, &addr) {
+            Ok(conn) => return Ok(conn),
+            Err(e) => e,
+        };
+        // Fallback: a fresh draw.  Unreachable or unresponsive pops are
+        // discarded — a stale announcement, or a spare whose listen backlog
+        // still accepts for a dead serve loop, must not burn a bounded
+        // recovery attempt on a doomed replay.  When the pool cannot help,
+        // the caller sees why the slot's own address failed.
+        self.draw(index).map_err(|_| dial_error)
     }
 
     fn retire(&self, index: usize) {
-        if let Some(addr) = self
-            .assigned
+        let Some(registry) = &self.registry else {
+            return;
+        };
+        // Expire the slot — a later grow must not inherit it — and hand
+        // the still-serving worker's address back to the pool.
+        let expired = self
+            .slots
             .lock()
-            .expect("pool assignments lock")
-            .remove(&index)
-        {
-            self.registry.return_address(addr);
+            .expect("transport slots lock")
+            .remove(&index);
+        if let Some(addr) = expired {
+            registry.return_address(addr);
         }
     }
 }
@@ -933,6 +807,70 @@ mod tests {
             .with_engine(knw_engine::EngineConfig::new(16));
         assert_eq!(config.engine.shards, 3);
         assert_eq!(config.addrs.len(), 3);
+    }
+
+    /// The pool draw loop, with no worker process involved: an empty pool
+    /// and a pool holding only a dead address both refuse typed and
+    /// promptly, and retiring a slot that holds no address returns nothing
+    /// to the pool.
+    #[test]
+    fn pool_draws_refuse_typed_and_retire_returns_only_assigned_slots() {
+        let registry = Arc::new(WorkerRegistry::bind("127.0.0.1:0").expect("bind registry"));
+        let connect_timeout = Duration::from_secs(2);
+        let config = TcpClusterConfig::new(Vec::<String>::new())
+            .with_connect_timeout(connect_timeout)
+            .with_registry(Arc::clone(&registry));
+        let transport = TcpTransport::new(&config);
+
+        match transport.open(0).map(|_| "a connection") {
+            Err(ClusterError::PoolExhausted { needed: 1, live: 0 }) => {}
+            other => panic!("expected PoolExhausted from an empty pool, got {other:?}"),
+        }
+
+        // Bind-then-drop guarantees a port with no listener.
+        let dead = {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("addr").to_string()
+        };
+        registry.return_address(dead);
+        let started = std::time::Instant::now();
+        match transport.open(0).map(|_| "a connection") {
+            Err(ClusterError::PoolExhausted { needed: 1, live: 0 }) => {}
+            other => panic!("expected the dead spare to be skipped, got {other:?}"),
+        }
+        assert!(
+            started.elapsed() < connect_timeout,
+            "the probe of a dead spare took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(registry.available(), 0, "the dead spare was discarded");
+        assert_eq!(transport.current_addr(0), None, "no slot was assigned");
+
+        transport.retire(0);
+        assert_eq!(
+            registry.available(),
+            0,
+            "an unassigned slot returns nothing"
+        );
+    }
+
+    #[test]
+    fn retire_hands_a_static_slot_to_the_pool_only_when_one_is_attached() {
+        let registry = Arc::new(WorkerRegistry::bind("127.0.0.1:0").expect("bind registry"));
+        let pooled = TcpTransport::new(
+            &TcpClusterConfig::new(["127.0.0.1:1", "127.0.0.1:2"])
+                .with_registry(Arc::clone(&registry)),
+        );
+        pooled.retire(1);
+        assert_eq!(registry.take_address().as_deref(), Some("127.0.0.1:2"));
+        assert_eq!(pooled.current_addr(1), None, "the retired slot expired");
+        assert_eq!(pooled.current_addr(0).as_deref(), Some("127.0.0.1:1"));
+
+        // Without a pool to return it to, the slot keeps its address so a
+        // later grow re-dials the same worker.
+        let unpooled = TcpTransport::new(&TcpClusterConfig::new(["127.0.0.1:1"]));
+        unpooled.retire(0);
+        assert_eq!(unpooled.current_addr(0).as_deref(), Some("127.0.0.1:1"));
     }
 
     #[test]

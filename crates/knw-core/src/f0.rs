@@ -66,8 +66,7 @@ use knw_vla::{SpaceUsage as VlaSpaceUsage, Vla};
 pub const PAPER_SUBSAMPLE_DIVISOR: u64 = 32;
 
 /// The space-optimal KNW F0 (distinct elements) sketch.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct KnwF0Sketch {
     config: F0Config,
     /// Number of counters `K = 1/ε²` (power of two).
@@ -332,13 +331,11 @@ impl KnwF0Sketch {
     /// state-independent hashing — the main level hash `h1` and every rough
     /// sub-estimator level hash — runs through the batched kernels
     /// (`hash_batch`), and only the per-item reactions (counter writes,
-    /// bucket hashes of surviving items, rebases) stay scalar.  Under the
-    /// `simd` cargo feature the batched kernels are the unrolled eight-lane
-    /// versions; either way the kernels are bit-identical to per-key hashing
-    /// (the knw-hash contract), levels are pure functions of the item, and
-    /// each item's filter still reads the *current* base — which may move
-    /// mid-block via `react_to_rough` — so the resulting sketch state is
-    /// bit-identical to the per-item path in both configurations.
+    /// bucket hashes of surviving items, rebases) stay scalar.  The kernels
+    /// are bit-identical to per-key hashing (the knw-hash contract), levels
+    /// are pure functions of the item, and each item's filter still reads
+    /// the *current* base — which may move mid-block via `react_to_rough` —
+    /// so the resulting sketch state is bit-identical to the per-item path.
     pub fn insert_batch(&mut self, items: &[u64]) {
         self.updates += items.len() as u64;
         let small_active = !self.small.large_certified();

@@ -27,8 +27,7 @@ use knw_hash::uniform::{BucketHash, HashStrategy};
 use knw_hash::{SpaceUsage, LANES};
 
 /// The Lemma 6 counter matrix plus the hash functions that address it.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct L0Matrix {
     /// `h1 ∈ H_2([n], [0, n−1])` — row (level) selection via `lsb`.
     h1: PairwiseHash,
@@ -130,8 +129,8 @@ impl L0Matrix {
 
     /// Applies a batch of updates.  All four addressing hashes (`h1`, `h2`,
     /// `h3`, `h4`) are pure functions of the item, so eight-lane blocks are
-    /// pre-hashed through the batched kernels (unrolled under the `simd`
-    /// cargo feature, bit-identical either way) and the field arithmetic on
+    /// pre-hashed through the batched kernels (bit-identical to per-key
+    /// hashing) and the field arithmetic on
     /// the addressed cells is applied per lane in order — bit-identical to
     /// per-item [`update`](Self::update) calls.
     pub fn update_batch(&mut self, updates: &[(u64, i64)]) {

@@ -29,30 +29,22 @@
 //! in bits via [`SpaceUsage`], so that the bench harness can account for hash
 //! function storage exactly as the paper does.
 //!
-//! # Batched kernels and the `simd` feature
+//! # Batched kernels
 //!
 //! Every hash family exposes, next to its per-key `hash`/`hash_full`, an
 //! eight-lane batched form (`hash_batch`/`hash_full_batch`) operating on
-//! `[u64; `[`LANES`]`]` blocks.  The batched APIs exist in **every** build, so
-//! call sites are feature-independent; the `simd` cargo feature only selects
-//! the kernel behind them:
-//!
-//! * **scalar fallback (default, normative)** — a plain loop over the
-//!   per-key `hash`.  This is the reference semantics; the per-key functions
-//!   are what the paper's analysis speaks about.
-//! * **`simd`** — manually unrolled eight-lane kernels: field reductions and
-//!   range masks run as lane-parallel passes the compiler can vectorize, the
-//!   `u128` Mersenne products run as eight independent dependency chains the
-//!   CPU pipelines, and the tabulation families do gather-style lookups (all
-//!   lanes per table, one table at a time).  No target-specific intrinsics
-//!   are used, so the feature is portable.
+//! `[u64; `[`LANES`]`]` blocks.  The per-key functions are the normative
+//! semantics — what the paper's analysis speaks about.  The batched forms
+//! loop over them, next to a few lane-parallel helpers the F0 hot path
+//! uses: range masks, [`Mersenne61::reduce_batch`] and the pairwise
+//! family's pre-reduced zero-mask filter.  No target-specific intrinsics
+//! are used.
 //!
 //! The contract is **bit-identity, not estimate-identity**: for every family,
 //! every key block and every draw of the function, `hash_batch(xs)[i] ==
-//! hash(xs[i])` (and likewise for `hash_full_batch`) in both configurations.
-//! The `batch_identity` property tests pin this, and CI runs them with the
-//! feature off and on; any sketch built on the batched kernels therefore
-//! produces bit-identical state under either configuration.
+//! hash(xs[i])` (and likewise for `hash_full_batch`).  The `batch_identity`
+//! property tests pin this, so any sketch built on the batched kernels
+//! produces the same state as its per-item path.
 
 /// Number of keys a batched hash call (`hash_batch` / `hash_full_batch`)
 /// processes at once.

@@ -20,8 +20,7 @@ use crate::tabulation::TwistedTabulation;
 use crate::{SpaceUsage, LANES};
 
 /// Which construction backs the high-independence bucket hash `h3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum HashStrategy {
     /// Carter–Wegman polynomial, exactly `k`-wise independent, `O(k)` evaluation.
     ///
@@ -38,8 +37,7 @@ pub enum HashStrategy {
 }
 
 /// The bucket hash `h3 : [u] → [K]`, drawn according to a [`HashStrategy`].
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub enum BucketHash {
     /// Carter–Wegman polynomial variant.
     Poly(KWiseHash),
@@ -78,7 +76,7 @@ impl BucketHash {
     }
 
     /// Evaluates [`hash`](Self::hash) on eight keys at once, bit-identical to
-    /// eight per-key calls (see the crate docs on the `simd` feature contract).
+    /// eight per-key calls.
     #[inline]
     #[must_use]
     pub fn hash_batch(&self, xs: &[u64; LANES]) -> [u64; LANES] {

@@ -2,13 +2,10 @@
 //! ingestion paths (`insert_batch` / `update_batch`) must leave each
 //! sketch in a state indistinguishable from the per-item path.
 //!
-//! This is the test that pins the `simd` feature contract.  The per-item
-//! reference path (`insert` / `update`) never touches the batched hash
-//! kernels, so it computes the same bytes with and without the feature;
-//! the batched path selects the eight-lane kernels when `simd` is on.
-//! CI runs this file under both feature configurations, so a green run
-//! under `--features simd` proves the vectorized kernels reproduce the
-//! scalar sketch state bit for bit — not merely a close estimate.
+//! The per-item reference path (`insert` / `update`) never touches the
+//! batched hash kernels; the batched path runs them eight keys at a time.
+//! A green run proves the batch kernels reproduce the per-item sketch
+//! state bit for bit — not merely a close estimate.
 //!
 //! Identity is checked at two strengths:
 //!
